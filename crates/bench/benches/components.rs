@@ -8,7 +8,7 @@ use hypertune::core::ranking;
 use hypertune::core::{History, Measurement, ResourceLevels};
 use hypertune::prelude::*;
 use hypertune::surrogate::acquisition::{maximize, Acquisition, MaximizeConfig};
-use hypertune::surrogate::{GaussianProcess, RandomForest, SurrogateModel};
+use hypertune::surrogate::{GaussianProcess, Predictor, RandomForest, SurrogateModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -9,9 +9,10 @@
 //!
 //! Three groups, each at n ∈ {50, 200, 800}:
 //! - `rf_fit` — baseline fit vs `RandomForest::fit` (flattened matrix,
-//!   scratch index buffer, threaded when cores exist);
-//! - `rf_predict` — baseline per-point loop vs `predict_batch`
-//!   (tree-major traversal) over an acquisition-sized candidate batch;
+//!   16-byte nodes built in place, single-threaded);
+//! - `rf_predict` — baseline per-point loop vs `predict_batch` (8 points
+//!   per tree in lockstep, from one flat row-major buffer) over an
+//!   acquisition-sized candidate batch;
 //! - `compute_theta` — seed θ computation vs the current one, cold
 //!   (empty model cache) and warm (the `ThetaTracker` steady state:
 //!   models cached, only the bootstrap reruns).
@@ -20,7 +21,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hypertune::core::ranking::{self, ThetaModelCache};
 use hypertune::core::{History, Measurement, ResourceLevels};
 use hypertune::prelude::*;
-use hypertune::surrogate::{RandomForest, SurrogateModel};
+use hypertune::surrogate::{Predictor, RandomForest, SurrogateModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -372,13 +373,12 @@ fn bench_rf_predict(c: &mut Criterion) {
                 acc
             })
         });
+        let flat = queries.concat();
+        let mut out = Vec::with_capacity(QUERY_BATCH);
         g.bench_function(format!("current_batch_n{n}_q{QUERY_BATCH}"), |b| {
             b.iter(|| {
-                SurrogateModel::predict_batch(&new, &queries)
-                    .unwrap()
-                    .iter()
-                    .map(|p| p.mean)
-                    .sum::<f64>()
+                Predictor::predict_batch(&new, &flat, 9, &mut out).unwrap();
+                out.iter().map(|p| p.mean).sum::<f64>()
             })
         });
     }

@@ -22,14 +22,14 @@
 //!   level's measurement count, so append-only history growth at other
 //!   levels never triggers a refit — and because each fit's seed depends
 //!   only on `(seed, level)`, a cache hit is bit-identical to a refit;
-//! - level fits and cross-validation folds run on scoped threads when the
-//!   machine has more than one core, and all level predictions go through
-//!   the forest's tree-major batch path.
+//! - level fits and cross-validation folds run one after another on the
+//!   calling thread, and all level predictions go through the forest's
+//!   batch path.
 
 use std::collections::HashMap;
 
 use hypertune_space::ConfigSpace;
-use hypertune_surrogate::{RandomForest, SurrogateModel};
+use hypertune_surrogate::{Predictor, RandomForest, SurrogateModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -159,41 +159,6 @@ fn count_strict_inversions(seq: &mut [f64], scratch: &mut [f64]) -> usize {
     }
     seq.copy_from_slice(&scratch[..n]);
     inversions
-}
-
-/// Runs `f(0), .., f(count - 1)` — on scoped worker threads when the
-/// machine has more than one core — returning results in index order.
-/// Shared with the samplers for their per-level surrogate fits.
-pub(crate) fn run_indexed<T, F>(count: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(count.max(1));
-    if threads <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let chunk = count.div_ceil(threads);
-    let f = &f;
-    let parts: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    ((w * chunk)..((w + 1) * chunk).min(count))
-                        .map(f)
-                        .collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("level fit worker panicked"))
-            .collect()
-    });
-    parts.into_iter().flatten().collect()
 }
 
 /// Per-level predictions on the `D_K` configurations, the raw material of
@@ -329,31 +294,24 @@ fn level_predictions(
     let xs_full: Vec<Vec<f64>> = full.iter().map(|m| space.encode(&m.config)).collect();
     let ys: Vec<f64> = full.iter().map(|m| m.value).collect();
 
-    // Fit the lower levels whose data changed since the cache entry was
-    // made — in parallel when cores allow; seeds depend only on
-    // `(seed, level)` so the result never depends on which levels hit.
-    let stale: Vec<usize> = (0..top)
-        .filter(|&level| {
-            history.len_at(level) >= MIN_POINTS_PER_LEVEL
-                && cache.models.get(&level).map(|(n, _)| *n) != Some(history.len_at(level))
-        })
-        .collect();
-    let refitted: Vec<(usize, Option<RandomForest>)> = run_indexed(stale.len(), |i| {
-        let level = stale[i];
+    // Refit the lower levels whose data changed since the cache entry was
+    // made; seeds depend only on `(seed, level)` so the result never
+    // depends on which levels hit.
+    for level in 0..top {
+        let n_level = history.len_at(level);
+        if n_level < MIN_POINTS_PER_LEVEL
+            || cache.models.get(&level).map(|(n, _)| *n) == Some(n_level)
+        {
+            continue;
+        }
         let (x, y) =
             history.training_data_capped(level, space, crate::sampler::bo::MAX_TRAIN_POINTS);
         let mut rf = RandomForest::new(seed ^ (level as u64) << 8);
         match rf.fit(&x, &y) {
-            Ok(()) => (level, Some(rf)),
-            Err(_) => (level, None),
-        }
-    });
-    for (level, rf) in refitted {
-        match rf {
-            Some(rf) => {
-                cache.models.insert(level, (history.len_at(level), rf));
+            Ok(()) => {
+                cache.models.insert(level, (n_level, rf));
             }
-            None => {
+            Err(_) => {
                 cache.models.remove(&level);
             }
         }
@@ -370,11 +328,10 @@ fn level_predictions(
         let p = match cache.preds.get(&level) {
             Some((pn, pnk, p)) if *pn == n_level && *pnk == nk => Some(p.clone()),
             _ => {
-                let fresh: Option<Vec<f64>> = cache.models.get(&level).and_then(|(_, rf)| {
-                    rf.predict_batch(&xs_full)
-                        .ok()
-                        .map(|ps| ps.into_iter().map(|p| p.mean).collect())
-                });
+                let fresh: Option<Vec<f64>> = cache
+                    .models
+                    .get(&level)
+                    .and_then(|(_, rf)| predicted_means(rf, &xs_full.concat(), space.len()));
                 match &fresh {
                     Some(v) => {
                         cache.preds.insert(level, (n_level, nk, v.clone()));
@@ -396,37 +353,35 @@ fn level_predictions(
     Some(LevelPredictions { preds, ys })
 }
 
+/// Predictive means of `rf` at the rows of the row-major matrix `xs`
+/// (`dim` columns).
+fn predicted_means(rf: &RandomForest, xs: &[f64], dim: usize) -> Option<Vec<f64>> {
+    let mut preds = Vec::with_capacity(xs.len() / dim);
+    rf.predict_batch(xs, dim, &mut preds).ok()?;
+    Some(preds.into_iter().map(|p| p.mean).collect())
+}
+
 /// 5-fold cross-validated predictions of the top-level surrogate on its
-/// own training data (the paper's treatment of `M_K` in Eq. 1). Folds are
-/// independent and run on scoped threads when cores allow.
+/// own training data (the paper's treatment of `M_K` in Eq. 1).
 fn cross_val_predictions(xs: &[Vec<f64>], ys: &[f64], seed: u64) -> Option<Vec<f64>> {
     let n = xs.len();
     if n < MIN_FULL_EVALS {
         return None;
     }
+    let dim = xs[0].len();
     let folds = 5.min(n);
-    let fold_preds: Vec<Option<Vec<(usize, f64)>>> = run_indexed(folds, |fold| {
-        let train_idx: Vec<usize> = (0..n).filter(|i| i % folds != fold).collect();
-        let test_idx: Vec<usize> = (0..n).filter(|i| i % folds == fold).collect();
-        if train_idx.is_empty() || test_idx.is_empty() {
-            return Some(Vec::new());
+    let mut out = vec![0.0; n];
+    for fold in 0..folds {
+        let (test, train): (Vec<usize>, Vec<usize>) = (0..n).partition(|i| i % folds == fold);
+        if train.is_empty() || test.is_empty() {
+            continue;
         }
-        let tx: Vec<Vec<f64>> = train_idx.iter().map(|&i| xs[i].clone()).collect();
-        let ty: Vec<f64> = train_idx.iter().map(|&i| ys[i]).collect();
+        let tx: Vec<Vec<f64>> = train.iter().map(|&i| xs[i].clone()).collect();
+        let ty: Vec<f64> = train.iter().map(|&i| ys[i]).collect();
         let mut rf = RandomForest::new(seed ^ 0xcf ^ (fold as u64) << 16);
         rf.fit(&tx, &ty).ok()?;
-        let test_x: Vec<Vec<f64>> = test_idx.iter().map(|&i| xs[i].clone()).collect();
-        let ps = rf.predict_batch(&test_x).ok()?;
-        Some(
-            test_idx
-                .into_iter()
-                .zip(ps.into_iter().map(|p| p.mean))
-                .collect(),
-        )
-    });
-    let mut out = vec![0.0; n];
-    for fp in fold_preds {
-        for (i, mean) in fp? {
+        let test_x: Vec<f64> = test.iter().flat_map(|&i| xs[i].iter().copied()).collect();
+        for (i, mean) in test.into_iter().zip(predicted_means(&rf, &test_x, dim)?) {
             out[i] = mean;
         }
     }

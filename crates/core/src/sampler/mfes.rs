@@ -18,7 +18,7 @@ use hypertune_telemetry::{Event, TelemetryHandle};
 use rand::Rng;
 
 use crate::method::MethodContext;
-use crate::ranking::{run_indexed, MIN_POINTS_PER_LEVEL};
+use crate::ranking::MIN_POINTS_PER_LEVEL;
 use crate::sampler::{derive_model_seed, pending_fingerprint, Sampler};
 
 /// A fitted per-level surrogate plus the state it was fitted against.
@@ -106,36 +106,33 @@ impl MfesSampler {
                 }
             })
             .collect();
-        let history = ctx.history;
-        let space = ctx.space;
-        let pending = ctx.pending;
-        let seed = self.seed;
         let fit_span = if stale.is_empty() {
             None
         } else {
             Some(self.telemetry.span("surrogate_fit"))
         };
-        let refitted: Vec<(usize, u64, usize, Option<RandomForest>)> =
-            run_indexed(stale.len(), |i| {
-                let (level, fp) = stale[i];
-                let n = history.len_at(level);
-                let (mut xs, mut ys) = history.training_data_capped(
+        let refitted: Vec<(usize, u64, usize, Option<RandomForest>)> = stale
+            .into_iter()
+            .map(|(level, fp)| {
+                let n = ctx.history.len_at(level);
+                let (mut xs, mut ys) = ctx.history.training_data_capped(
                     level,
-                    space,
+                    ctx.space,
                     crate::sampler::bo::MAX_TRAIN_POINTS,
                 );
                 if level == ref_level {
                     let med = stats::median(&ys).expect("level has measurements");
-                    for job in pending {
-                        xs.push(space.encode(&job.config));
+                    for job in ctx.pending {
+                        xs.push(ctx.space.encode(&job.config));
                         ys.push(med);
                     }
                 }
-                let mut rf = RandomForest::new(derive_model_seed(seed, level, n, fp));
+                let mut rf = RandomForest::new(derive_model_seed(self.seed, level, n, fp));
                 let fit = rf.fit(&xs, &ys);
                 let skipped = rf.skipped_nonfinite();
                 (level, fp, skipped, fit.ok().map(|_| rf))
-            });
+            })
+            .collect();
         drop(fit_span);
         for (level, fp, skipped, rf) in refitted {
             if skipped > 0 {
@@ -232,8 +229,7 @@ impl Sampler for MfesSampler {
 
         // Fit one base surrogate per level with enough data; the
         // reference-level one sees the median-imputed pending configs.
-        // Fits go through the cache: a level is refit — in parallel with
-        // the other stale levels when cores allow — only when its
+        // Fits go through the cache: a level is refit only when its
         // measurement count or (for the reference level) the pending
         // fingerprint changed since the cached fit.
         self.refresh_models(ctx, ref_level);

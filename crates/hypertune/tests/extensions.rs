@@ -88,7 +88,7 @@ fn diagnostics_track_theta_and_brackets() {
 #[test]
 fn gp_kernel_families_all_fit_benchmark_data() {
     use hypertune::surrogate::kernel::{Kernel, Matern32, Matern52, Rbf};
-    use hypertune::surrogate::{GaussianProcess, SurrogateModel};
+    use hypertune::surrogate::{GaussianProcess, Predictor, SurrogateModel};
     use std::sync::Arc;
     let bench = tasks::resnet_cifar10(0);
     let mut rng = {
@@ -115,7 +115,7 @@ fn gp_kernel_families_all_fit_benchmark_data() {
     ] {
         let mut gp = GaussianProcess::with_kernel(kernel);
         gp.fit(&xs, &ys).unwrap();
-        let p = SurrogateModel::predict(&gp, &xs[0]).unwrap();
+        let p = Predictor::predict(&gp, &xs[0]).unwrap();
         assert!(p.mean.is_finite() && p.var >= 0.0);
     }
 }

@@ -119,6 +119,25 @@ impl ConfigSpace {
             .expect("config does not belong to this space")
     }
 
+    /// Appends the unit-cube encoding of `config` to `out` — `self.len()`
+    /// values, the same ones [`ConfigSpace::encode`] returns — so callers
+    /// that score many candidates fill one flat row-major buffer instead
+    /// of allocating a `Vec` per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config does not belong to this space.
+    pub fn encode_into(&self, config: &Config, out: &mut Vec<f64>) {
+        assert_eq!(
+            config.len(),
+            self.len(),
+            "config does not belong to this space"
+        );
+        for (p, v) in self.params.iter().zip(config.values()) {
+            out.push(p.to_unit(v).expect("config does not belong to this space"));
+        }
+    }
+
     /// Fallible variant of [`ConfigSpace::encode`].
     pub fn try_encode(&self, config: &Config) -> Result<Vec<f64>, SpaceError> {
         if config.len() != self.len() {
@@ -385,6 +404,21 @@ mod tests {
             assert!(x.iter().all(|&u| (0.0..=1.0).contains(&u)));
             assert_eq!(s.decode(&x).unwrap(), c);
         }
+    }
+
+    #[test]
+    fn encode_into_appends_the_encode_row() {
+        let s = demo_space();
+        let mut rng = StdRng::seed_from_u64(4);
+        let configs: Vec<Config> = (0..5).map(|_| s.sample(&mut rng)).collect();
+        let mut flat = vec![-1.0];
+        for c in &configs {
+            s.encode_into(c, &mut flat);
+        }
+        let expected: Vec<f64> = std::iter::once(-1.0)
+            .chain(configs.iter().flat_map(|c| s.encode(c)))
+            .collect();
+        assert_eq!(flat, expected);
     }
 
     #[test]

@@ -109,12 +109,18 @@ pub fn maximize<R: Rng + ?Sized>(
 ) -> Result<(Config, f64), SurrogateError> {
     // Candidate generation is separated from scoring: candidates are drawn
     // first (advancing `rng` exactly as per-point scoring did), encoded
-    // once, and pushed through the model's batch path — tree-major for
-    // forests, member-major for ensembles.
-    let score_batch = |cands: &[Config]| -> Result<Vec<f64>, SurrogateError> {
-        let encoded: Vec<Vec<f64>> = cands.iter().map(|c| space.encode(c)).collect();
-        let preds = model.predict_batch(&encoded)?;
-        Ok(preds.into_iter().map(|p| acq.score(p, best_y)).collect())
+    // into one reused row-major buffer, and pushed through the model's
+    // batch path — interleaved traversal for forests, member-major for
+    // ensembles — into one reused prediction buffer.
+    let dim = space.len();
+    let mut encoded = Vec::new();
+    let mut preds = Vec::new();
+    let mut predict = |cands: &[Config], preds: &mut Vec<Prediction>| {
+        encoded.clear();
+        for c in cands {
+            space.encode_into(c, &mut encoded);
+        }
+        model.predict_batch(&encoded, dim, preds)
     };
 
     let mut best: Option<(Config, f64)> = None;
@@ -128,9 +134,9 @@ pub fn maximize<R: Rng + ?Sized>(
     let randoms: Vec<Config> = (0..config.n_random.max(1))
         .map(|_| space.sample(rng))
         .collect();
-    let random_scores = score_batch(&randoms)?;
-    for (c, s) in randoms.into_iter().zip(random_scores) {
-        consider(c, s, &mut best);
+    predict(&randoms, &mut preds)?;
+    for (c, p) in randoms.into_iter().zip(&preds) {
+        consider(c, acq.score(*p, best_y), &mut best);
     }
 
     // Local phase: hill-climb from each incumbent, scoring each step's
@@ -138,12 +144,14 @@ pub fn maximize<R: Rng + ?Sized>(
     // in generation order, matching the sequential search exactly.
     for start in incumbents.iter().take(config.n_local_starts) {
         let mut current = (*start).clone();
-        let mut current_score = score_batch(std::slice::from_ref(&current))?[0];
+        predict(std::slice::from_ref(&current), &mut preds)?;
+        let mut current_score = acq.score(preds[0], best_y);
         for _ in 0..config.local_steps {
             let cands = neighbors::neighbors(space, &current, config.neighbors_per_step, rng);
-            let scores = score_batch(&cands)?;
+            predict(&cands, &mut preds)?;
             let mut improved = false;
-            for (cand, s) in cands.into_iter().zip(scores) {
+            for (cand, p) in cands.into_iter().zip(&preds) {
+                let s = acq.score(*p, best_y);
                 if s > current_score {
                     current = cand;
                     current_score = s;
@@ -251,49 +259,41 @@ impl BatchMaximizer {
             rescore_ops: 0,
             reference: false,
         };
-        // Scratch buffers reused across every expansion below — the
-        // local-search loop would otherwise allocate a fresh encoding
-        // matrix and prediction vector per hill-climbing step.
-        let mut enc_scratch: Vec<Vec<f64>> = Vec::new();
-        let mut pred_scratch: Vec<Prediction> = Vec::new();
-        let predict_into = |cands: Vec<Config>,
-                            pool: &mut Self,
-                            enc: &mut Vec<Vec<f64>>,
-                            preds: &mut Vec<Prediction>|
-         -> Result<usize, SurrogateError> {
-            enc.clear();
-            enc.extend(cands.iter().map(|c| space.encode(c)));
-            model.predict_batch_into(enc, preds)?;
-            let first = pool.configs.len();
-            for ((config, encoded), base) in cands.into_iter().zip(enc.drain(..)).zip(preds.iter())
-            {
-                pool.push_entry(config, encoded, *base);
-            }
-            Ok(first)
-        };
+        // Candidates are encoded straight into the pool's row-major
+        // position matrix and predicted from its new tail, into one
+        // prediction buffer reused by every hill-climbing step.
+        pool.dims = space.len();
+        let mut preds: Vec<Prediction> = Vec::new();
+        let mut predict_into =
+            |cands: Vec<Config>, pool: &mut Self| -> Result<usize, SurrogateError> {
+                let first = pool.configs.len();
+                for c in &cands {
+                    space.encode_into(c, &mut pool.encoded);
+                }
+                model.predict_batch(&pool.encoded[first * pool.dims..], pool.dims, &mut preds)?;
+                for (config, base) in cands.into_iter().zip(&preds) {
+                    pool.push_prediction(config, *base);
+                }
+                Ok(first)
+            };
 
         // Random phase.
         let randoms: Vec<Config> = (0..config.n_random.max(1))
             .map(|_| space.sample(rng))
             .collect();
-        predict_into(randoms, &mut pool, &mut enc_scratch, &mut pred_scratch)?;
+        predict_into(randoms, &mut pool)?;
 
         // Local phase: hill-climb under the base model exactly as
         // `maximize` does, but keep every visited candidate — each one is
         // already predicted, and a runner-up on the base landscape is
         // often the argmax once liars penalize the leader's neighborhood.
         for start in incumbents.iter().take(config.n_local_starts) {
-            let i = predict_into(
-                vec![(*start).clone()],
-                &mut pool,
-                &mut enc_scratch,
-                &mut pred_scratch,
-            )?;
+            let i = predict_into(vec![(*start).clone()], &mut pool)?;
             let mut current = pool.configs[i].clone();
             let mut current_score = acq.score(Prediction::new(pool.means[i], pool.vars[i]), best_y);
             for _ in 0..config.local_steps {
                 let cands = neighbors::neighbors(space, &current, config.neighbors_per_step, rng);
-                let first = predict_into(cands, &mut pool, &mut enc_scratch, &mut pred_scratch)?;
+                let first = predict_into(cands, &mut pool)?;
                 let mut improved = false;
                 for j in first..pool.configs.len() {
                     let s = acq.score(Prediction::new(pool.means[j], pool.vars[j]), best_y);
@@ -349,8 +349,13 @@ impl BatchMaximizer {
             self.dims = encoded.len();
         }
         debug_assert_eq!(encoded.len(), self.dims, "ragged pool encoding");
-        self.configs.push(config);
         self.encoded.extend_from_slice(&encoded);
+        self.push_prediction(config, base);
+    }
+
+    /// Appends an entry whose encoded row is already in `self.encoded`.
+    fn push_prediction(&mut self, config: Config, base: Prediction) {
+        self.configs.push(config);
         self.means.push(base.mean);
         self.vars.push(base.var);
         self.weights.push(0.0);

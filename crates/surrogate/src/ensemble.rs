@@ -68,25 +68,37 @@ impl Predictor for MfEnsemble<'_> {
         Ok(Prediction::new(mean, var))
     }
 
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
+    fn predict_batch(
+        &self,
+        xs: &[f64],
+        dim: usize,
+        out: &mut Vec<Prediction>,
+    ) -> Result<(), SurrogateError> {
         // Member-major: each base surrogate scores the whole batch with its
-        // own fast path (e.g. tree-major forest traversal) before the next
-        // member runs. Accumulation order per point matches `predict`
-        // (member 0, 1, ...), so results are bit-identical.
-        let mut means = vec![0.0; xs.len()];
-        let mut vars = vec![0.0; xs.len()];
+        // own fast path (e.g. interleaved forest traversal) before the next
+        // member runs, and `out` holds the running sums. Accumulation order
+        // per point matches `predict` (member 0, 1, ...), so results are
+        // bit-identical.
+        out.clear();
+        out.resize(
+            xs.len() / dim,
+            Prediction {
+                mean: 0.0,
+                var: 0.0,
+            },
+        );
+        let mut member = Vec::with_capacity(out.len());
         for (model, w) in &self.members {
-            let preds = model.predict_batch(xs)?;
-            for (i, p) in preds.iter().enumerate() {
-                means[i] += w * p.mean;
-                vars[i] += w * w * p.var;
+            model.predict_batch(xs, dim, &mut member)?;
+            for (acc, p) in out.iter_mut().zip(&member) {
+                acc.mean += w * p.mean;
+                acc.var += w * w * p.var;
             }
         }
-        Ok(means
-            .into_iter()
-            .zip(vars)
-            .map(|(m, v)| Prediction::new(m, v))
-            .collect())
+        for p in out.iter_mut() {
+            *p = Prediction::new(p.mean, p.var);
+        }
+        Ok(())
     }
 }
 
@@ -189,11 +201,12 @@ mod tests {
             var: 1.0,
         };
         let ens = MfEnsemble::new(vec![(&a, 0.25), (&b, 0.75)]).unwrap();
-        let xs = vec![vec![0.0], vec![0.5], vec![1.0]];
-        let batch = ens.predict_batch(&xs).unwrap();
+        let xs = [0.0, 0.5, 1.0];
+        let mut batch = Vec::new();
+        ens.predict_batch(&xs, 1, &mut batch).unwrap();
         assert_eq!(batch.len(), xs.len());
         for (x, p) in xs.iter().zip(&batch) {
-            assert_eq!(ens.predict(x).unwrap(), *p);
+            assert_eq!(ens.predict(&[*x]).unwrap(), *p);
         }
     }
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use crate::kernel::{Kernel, Matern52};
 use crate::linalg::{Cholesky, SquareMat};
-use crate::model::{validate_training_set, Prediction, SurrogateError, SurrogateModel};
+use crate::model::{validate_training_set, Prediction, Predictor, SurrogateError, SurrogateModel};
 use crate::stats::Standardizer;
 
 /// Tuning knobs for [`GaussianProcess`].
@@ -166,6 +166,12 @@ impl SurrogateModel for GaussianProcess {
         Ok(())
     }
 
+    fn is_fitted(&self) -> bool {
+        self.state.is_some()
+    }
+}
+
+impl Predictor for GaussianProcess {
     fn predict(&self, x: &[f64]) -> Result<Prediction, SurrogateError> {
         let s = self.state.as_ref().ok_or(SurrogateError::NotFitted)?;
         let k_star: Vec<f64> =
@@ -181,10 +187,6 @@ impl SurrogateModel for GaussianProcess {
             s.standardizer.inverse_mean(mean_z),
             s.standardizer.inverse_var(var_z),
         ))
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.state.is_some()
     }
 }
 

@@ -64,76 +64,52 @@ impl fmt::Display for SurrogateError {
 
 impl std::error::Error for SurrogateError {}
 
-/// The generic surrogate abstraction of §4.3: anything that can be fit on
-/// `(x, y)` measurements and produce Gaussian predictions.
+/// The generic surrogate abstraction of §4.3: a [`Predictor`] that can be
+/// fit on `(x, y)` measurements.
 ///
 /// Implementations must be `Send` so the framework can refit surrogates
 /// while worker threads stream in new measurements.
-pub trait SurrogateModel: Send {
+pub trait SurrogateModel: Predictor + Send {
     /// Fits the model to unit-cube inputs `x` and targets `y`
     /// (objective values to *minimize*).
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), SurrogateError>;
 
-    /// Predicts at one query point.
-    fn predict(&self, x: &[f64]) -> Result<Prediction, SurrogateError>;
-
     /// `true` once `fit` has succeeded at least once.
     fn is_fitted(&self) -> bool;
-
-    /// Predicts at many query points; the default loops over
-    /// [`SurrogateModel::predict`].
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
 }
 
 /// Anything that yields Gaussian predictions at query points.
 ///
-/// Every [`SurrogateModel`] is a `Predictor` via the blanket impl; the
-/// multi-fidelity ensemble ([`crate::MfEnsemble`]) is a `Predictor` that is
-/// *not* a `SurrogateModel`, because it combines already-fitted base
-/// surrogates instead of being fit on raw data. Acquisition functions are
-/// generic over `Predictor` so they work with both.
+/// Every [`SurrogateModel`] is a `Predictor`; the multi-fidelity ensemble
+/// ([`crate::MfEnsemble`]) is a `Predictor` that is *not* a
+/// `SurrogateModel`, because it combines already-fitted base surrogates
+/// instead of being fit on raw data. Acquisition functions are generic
+/// over `Predictor` so they work with both.
 pub trait Predictor {
     /// Predicts at one query point.
     fn predict(&self, x: &[f64]) -> Result<Prediction, SurrogateError>;
 
-    /// Predicts at many query points.
+    /// Predicts at the rows of `xs`, a flat row-major matrix with `dim`
+    /// columns (`dim >= 1`), into `out` (cleared first). Hot loops —
+    /// acquisition sweeps, pool building — encode candidates into one
+    /// reused buffer and predict into one reused `out`, so a batch costs
+    /// no per-row allocation.
     ///
     /// The default loops over [`Predictor::predict`]; implementations with
-    /// a cheaper batch path (tree-major forest traversal, member-wise
+    /// a cheaper batch path (interleaved forest traversal, member-wise
     /// ensemble batching) override it. Must return exactly the same
     /// predictions as the per-point path.
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
-    /// Predicts at many query points into a caller-provided scratch
-    /// buffer (cleared first), so hot loops that predict repeatedly —
-    /// acquisition hill-climbing, pool re-scoring — reuse one allocation
-    /// instead of producing a fresh `Vec<Prediction>` per call.
-    ///
-    /// The default delegates to [`Predictor::predict_batch`]; wrappers
-    /// that post-process predictions (e.g. constant-liar penalization)
-    /// override it to rewrite the buffer in place.
-    fn predict_batch_into(
+    fn predict_batch(
         &self,
-        xs: &[Vec<f64>],
+        xs: &[f64],
+        dim: usize,
         out: &mut Vec<Prediction>,
     ) -> Result<(), SurrogateError> {
         out.clear();
-        out.extend(self.predict_batch(xs)?);
+        for x in xs.chunks_exact(dim) {
+            out.push(self.predict(x)?);
+        }
         Ok(())
-    }
-}
-
-impl<T: SurrogateModel + ?Sized> Predictor for T {
-    fn predict(&self, x: &[f64]) -> Result<Prediction, SurrogateError> {
-        SurrogateModel::predict(self, x)
-    }
-
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
-        SurrogateModel::predict_batch(self, xs)
     }
 }
 

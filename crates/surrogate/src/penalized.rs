@@ -79,22 +79,17 @@ impl Predictor for PenalizedPredictor<'_> {
         Ok(self.penalize(x, self.inner.predict(x)?))
     }
 
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.predict_batch_into(xs, &mut out)?;
-        Ok(out)
-    }
-
-    fn predict_batch_into(
+    fn predict_batch(
         &self,
-        xs: &[Vec<f64>],
+        xs: &[f64],
+        dim: usize,
         out: &mut Vec<Prediction>,
     ) -> Result<(), SurrogateError> {
-        // Keep the inner model's fast batch path and the caller's scratch
-        // buffer; penalization rewrites the buffer in place, O(liars) per
-        // point with no extra allocation.
-        self.inner.predict_batch_into(xs, out)?;
-        for (x, p) in xs.iter().zip(out.iter_mut()) {
+        // Keep the inner model's fast batch path and the caller's buffer;
+        // penalization rewrites it in place, O(liars) per point with no
+        // extra allocation.
+        self.inner.predict_batch(xs, dim, out)?;
+        for (x, p) in xs.chunks_exact(dim).zip(out.iter_mut()) {
             *p = penalize(&self.liars, self.liar_value, x, *p);
         }
         Ok(())
@@ -144,10 +139,12 @@ mod tests {
         p.push_liar(vec![0.2]);
         p.push_liar(vec![0.8]);
         assert_eq!(p.n_liars(), 2);
-        let xs = vec![vec![0.1], vec![0.5], vec![0.81]];
-        let batch = p.predict_batch(&xs).unwrap();
+        let xs = [0.1, 0.5, 0.81];
+        let mut batch = Vec::new();
+        p.predict_batch(&xs, 1, &mut batch).unwrap();
+        assert_eq!(batch.len(), xs.len());
         for (x, b) in xs.iter().zip(&batch) {
-            assert_eq!(*b, p.predict(x).unwrap());
+            assert_eq!(*b, p.predict(&[*x]).unwrap());
         }
     }
 }

@@ -8,24 +8,36 @@
 //! SMAC and BOHB-style systems use for mixed discrete/continuous
 //! hyper-parameter spaces where Gaussian processes struggle.
 //!
-//! Training is the tuner's hot path, so `fit` is built for speed without
-//! giving up reproducibility:
+//! Fitting and prediction are the tuner's hot path — every suggestion
+//! refits the reference-level forest and scores several hundred
+//! candidates against the ensemble — so the forest is a compact,
+//! single-threaded kernel:
 //!
 //! - inputs are flattened once into a row-major matrix, so tree
-//!   construction touches one contiguous buffer instead of chasing
-//!   per-row `Vec` pointers;
+//!   construction touches one contiguous buffer;
+//! - every tree's nodes live in one flat array of 16-byte nodes
+//!   `{thr, dim, child}`, built in place. A split reserves both child slots before it
+//!   recurses, so siblings are adjacent and the depth-first build (and
+//!   with it every RNG draw) runs in the order of a plain recursive
+//!   build;
+//! - a leaf's `child` indexes a side array of `(mean, var + mean²)`, the
+//!   two terms prediction sums;
+//! - traversal steps to `child + !(x[dim] <= thr)` without a branch on
+//!   the direction; a NaN coordinate fails `<=` and goes right;
+//! - `predict_batch` walks 8 points through each tree in lockstep, so
+//!   their independent node loads overlap, with a per-point tail;
 //! - every tree derives its own RNG seed from `(forest seed, tree
-//!   index)`, making trees independent of construction order — the
-//!   parallel and serial paths produce bit-identical forests;
-//! - trees build on a scoped thread pool when the machine has more than
-//!   one core and the problem is big enough to amortize thread spawns;
-//! - leaf statistics are computed in place over the index slice, with no
-//!   per-leaf target buffer.
+//!   index)`.
+//!
+//! Nothing here spawns threads: a fit is a few hundred microseconds, a
+//! scoped spawn plus join costs about 50 µs and a parallelism query about
+//! 17 µs (DESIGN.md §10). Per-point accumulation runs tree 0, 1, … on
+//! every path, so batch and per-point predictions agree bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::model::{validate_training_set, Prediction, SurrogateError, SurrogateModel};
+use crate::model::{validate_training_set, Prediction, Predictor, SurrogateError, SurrogateModel};
 
 /// Tuning knobs for [`RandomForest`].
 #[derive(Debug, Clone, Copy)]
@@ -56,9 +68,34 @@ impl Default for RandomForestConfig {
     }
 }
 
-/// Minimum `n_trees * n_points` before `fit` reaches for threads; below
-/// this the spawn cost dwarfs the tree-building work.
-const PARALLEL_FIT_THRESHOLD: usize = 2048;
+/// Points that `predict_batch` walks through a tree in lockstep.
+const LANES: usize = 8;
+
+/// `Node::dim` of a leaf.
+const LEAF: u32 = u32::MAX;
+
+/// One tree node. A split sends `x` to node `child` when
+/// `x[dim] <= thr` and to `child + 1` otherwise; a leaf (`dim == LEAF`)
+/// keeps the index of its statistics in `RandomForest::leaves` in
+/// `child`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    thr: f64,
+    dim: u32,
+    child: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+impl Node {
+    /// `true` when coordinate `v` takes a split to `child + 1`.
+    /// `!(v <= thr)` rather than `v > thr`: a NaN coordinate goes right.
+    #[inline(always)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn goes_right(self, v: f64) -> bool {
+        !(v <= self.thr)
+    }
+}
 
 /// A probabilistic random-forest regressor implementing
 /// [`SurrogateModel`].
@@ -67,7 +104,12 @@ pub struct RandomForest {
     config: RandomForestConfig,
     seed: u64,
     dim: usize,
-    trees: Vec<Tree>,
+    /// Root node of each tree, in tree order.
+    roots: Vec<u32>,
+    /// Every tree's nodes, tree after tree.
+    nodes: Vec<Node>,
+    /// Leaf statistics `[mean, var + mean²]`, indexed by a leaf's `child`.
+    leaves: Vec<[f64; 2]>,
     skipped_nonfinite: usize,
 }
 
@@ -83,14 +125,16 @@ impl RandomForest {
             config,
             seed,
             dim: 0,
-            trees: Vec::new(),
+            roots: Vec::new(),
+            nodes: Vec::new(),
+            leaves: Vec::new(),
             skipped_nonfinite: 0,
         }
     }
 
     /// Number of fitted trees (0 before `fit`).
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.roots.len()
     }
 
     /// Number of training rows the last `fit` dropped for containing a
@@ -100,18 +144,123 @@ impl RandomForest {
         self.skipped_nonfinite
     }
 
-    /// Fits with an explicit worker-thread count.
-    ///
-    /// `threads == 1` forces the serial path; any count yields the same
-    /// forest bit for bit, because each tree's RNG seed depends only on
-    /// `(forest seed, tree index)`. [`SurrogateModel::fit`] calls this
-    /// with the detected core count.
-    pub fn fit_with_threads(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        threads: usize,
-    ) -> Result<(), SurrogateError> {
+    /// The real fit, on rows already known to be finite.
+    fn fit_finite(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), SurrogateError> {
+        self.dim = validate_training_set(x, y)?;
+        let n = x.len();
+        let matrix = Matrix {
+            data: &x.concat(),
+            dim: self.dim,
+        };
+        self.roots.clear();
+        self.nodes.clear();
+        self.leaves.clear();
+        let mut indices = Vec::with_capacity(n);
+        for t in 0..self.config.n_trees {
+            let mut rng = StdRng::seed_from_u64(derive_tree_seed(self.seed, t));
+            indices.clear();
+            if self.config.bootstrap && n > 1 {
+                indices.extend((0..n).map(|_| rng.gen_range(0..n)));
+            } else {
+                indices.extend(0..n);
+            }
+            let root = self.nodes.len();
+            self.roots.push(node_index(root));
+            self.nodes.push(PLACEHOLDER);
+            TreeBuilder {
+                matrix: &matrix,
+                y,
+                config: &self.config,
+                rng: &mut rng,
+                nodes: &mut self.nodes,
+                leaves: &mut self.leaves,
+            }
+            .build(root, &mut indices, 0);
+        }
+        Ok(())
+    }
+
+    /// Leaf statistics `[mean, var + mean²]` of the tree at `root` for `x`.
+    #[inline]
+    fn leaf(&self, root: u32, x: &[f64]) -> [f64; 2] {
+        let mut at = root as usize;
+        loop {
+            let node = self.nodes[at];
+            if node.dim == LEAF {
+                return self.leaves[node.child as usize];
+            }
+            at = node.child as usize + usize::from(node.goes_right(x[node.dim as usize]));
+        }
+    }
+
+    /// Law of total variance over the per-tree leaf distributions:
+    /// `mean = E[m_t]`, `var = E[v_t + m_t²] - mean²`.
+    #[inline]
+    fn combine(&self, sum_m: f64, sum_sq: f64) -> Prediction {
+        let k = self.roots.len() as f64;
+        let mean = sum_m / k;
+        let var = (sum_sq / k - mean * mean).max(self.config.min_variance);
+        Prediction::new(mean, var)
+    }
+
+    fn predict_fitted(&self, x: &[f64]) -> Prediction {
+        let (mut sum_m, mut sum_sq) = (0.0, 0.0);
+        for &root in &self.roots {
+            let [m, sq] = self.leaf(root, x);
+            sum_m += m;
+            sum_sq += sq;
+        }
+        self.combine(sum_m, sum_sq)
+    }
+
+    /// Predicts `LANES` rows, descending each tree with all lanes in
+    /// lockstep: one pass moves every lane one level (lanes at a leaf stay
+    /// put), so the lanes' node loads are independent and overlap.
+    fn predict_lanes(&self, rows: [&[f64]; LANES]) -> [Prediction; LANES] {
+        let mut sum_m = [0.0; LANES];
+        let mut sum_sq = [0.0; LANES];
+        for &root in &self.roots {
+            let mut at = [root as usize; LANES];
+            let mut descending = true;
+            while descending {
+                descending = false;
+                for (at, x) in at.iter_mut().zip(rows) {
+                    // No branch on the lane's state: a lane at its leaf
+                    // compares column 0, discards the result and stays put.
+                    let node = self.nodes[*at];
+                    let split = node.dim != LEAF;
+                    let d = if split { node.dim as usize } else { 0 };
+                    let next = node.child as usize + usize::from(node.goes_right(x[d]));
+                    *at = if split { next } else { *at };
+                    descending |= split;
+                }
+            }
+            for l in 0..LANES {
+                let [m, sq] = self.leaves[self.nodes[at[l]].child as usize];
+                sum_m[l] += m;
+                sum_sq[l] += sq;
+            }
+        }
+        std::array::from_fn(|l| self.combine(sum_m[l], sum_sq[l]))
+    }
+}
+
+/// Mixes `(forest seed, tree index)` into an independent per-tree seed
+/// (SplitMix64 finalizer), so a tree's stream never depends on the trees
+/// built before it.
+fn derive_tree_seed(seed: u64, tree_index: usize) -> u64 {
+    let mut z = seed ^ (tree_index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn node_index(i: usize) -> u32 {
+    u32::try_from(i).expect("forest exceeds u32 node indices")
+}
+
+impl SurrogateModel for RandomForest {
+    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), SurrogateError> {
         // A crashed or diverged trial can leave NaN/Inf in the training
         // set; one such row would poison every split bound it touches.
         // Drop those rows (recording how many via
@@ -128,7 +277,7 @@ impl RandomForest {
         };
         if x.iter().zip(y).all(row_ok) {
             self.skipped_nonfinite = 0;
-            return self.fit_finite(x, y, threads);
+            return self.fit_finite(x, y);
         }
         let (fx, fy): (Vec<Vec<f64>>, Vec<f64>) = x
             .iter()
@@ -140,134 +289,47 @@ impl RandomForest {
         if fx.is_empty() {
             return Err(SurrogateError::NonFiniteTarget);
         }
-        self.fit_finite(&fx, &fy, threads)
-    }
-
-    /// The real fit, on rows already known to be finite.
-    fn fit_finite(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        threads: usize,
-    ) -> Result<(), SurrogateError> {
-        self.dim = validate_training_set(x, y)?;
-        let n = x.len();
-        let mut flat = Vec::with_capacity(n * self.dim);
-        for row in x {
-            flat.extend_from_slice(row);
-        }
-        let matrix = Matrix {
-            data: &flat,
-            dim: self.dim,
-            n,
-        };
-        let config = self.config;
-        let seed = self.seed;
-        let n_trees = config.n_trees;
-        let workers = threads.clamp(1, n_trees.max(1));
-        if workers <= 1 || n_trees * n < PARALLEL_FIT_THRESHOLD {
-            self.trees = (0..n_trees)
-                .map(|t| build_tree(&matrix, y, &config, derive_tree_seed(seed, t)))
-                .collect();
-        } else {
-            let chunk = n_trees.div_ceil(workers);
-            // Chunks are contiguous tree-index ranges, collected in worker
-            // order, so the tree vector matches the serial path exactly.
-            let per_worker: Vec<Vec<Tree>> = std::thread::scope(|scope| {
-                let matrix = &matrix;
-                let config = &config;
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let start = w * chunk;
-                            let end = ((w + 1) * chunk).min(n_trees);
-                            (start..end)
-                                .map(|t| build_tree(matrix, y, config, derive_tree_seed(seed, t)))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("tree build worker panicked"))
-                    .collect()
-            });
-            self.trees = per_worker.into_iter().flatten().collect();
-        }
-        Ok(())
-    }
-}
-
-/// Mixes `(forest seed, tree index)` into an independent per-tree seed
-/// (SplitMix64 finalizer), so tree streams never depend on which thread —
-/// or in what order — a tree is built.
-fn derive_tree_seed(seed: u64, tree_index: usize) -> u64 {
-    let mut z = seed ^ (tree_index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-impl SurrogateModel for RandomForest {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<(), SurrogateError> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.fit_with_threads(x, y, threads)
-    }
-
-    fn predict(&self, x: &[f64]) -> Result<Prediction, SurrogateError> {
-        if self.trees.is_empty() {
-            return Err(SurrogateError::NotFitted);
-        }
-        debug_assert_eq!(x.len(), self.dim);
-        // Law of total variance over the per-tree leaf distributions:
-        //   mean = E[m_t],  var = E[v_t + m_t^2] - mean^2.
-        let mut sum_m = 0.0;
-        let mut sum_sq = 0.0;
-        for tree in &self.trees {
-            let (m, v) = tree.query(x);
-            sum_m += m;
-            sum_sq += v + m * m;
-        }
-        let k = self.trees.len() as f64;
-        let mean = sum_m / k;
-        let var = (sum_sq / k - mean * mean).max(self.config.min_variance);
-        Ok(Prediction::new(mean, var))
-    }
-
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<Prediction>, SurrogateError> {
-        if self.trees.is_empty() {
-            return Err(SurrogateError::NotFitted);
-        }
-        // Tree-major traversal: each tree's nodes stay hot in cache while
-        // every query point passes through it. Per-point accumulation order
-        // matches `predict` (tree 0, 1, ...), so results are bit-identical
-        // to the per-point path.
-        let mut sum_m = vec![0.0; xs.len()];
-        let mut sum_sq = vec![0.0; xs.len()];
-        for tree in &self.trees {
-            for (i, x) in xs.iter().enumerate() {
-                debug_assert_eq!(x.len(), self.dim);
-                let (m, v) = tree.query(x);
-                sum_m[i] += m;
-                sum_sq[i] += v + m * m;
-            }
-        }
-        let k = self.trees.len() as f64;
-        Ok(sum_m
-            .into_iter()
-            .zip(sum_sq)
-            .map(|(sm, sq)| {
-                let mean = sm / k;
-                let var = (sq / k - mean * mean).max(self.config.min_variance);
-                Prediction::new(mean, var)
-            })
-            .collect())
+        self.fit_finite(&fx, &fy)
     }
 
     fn is_fitted(&self) -> bool {
-        !self.trees.is_empty()
+        !self.roots.is_empty()
+    }
+}
+
+impl Predictor for RandomForest {
+    fn predict(&self, x: &[f64]) -> Result<Prediction, SurrogateError> {
+        if self.roots.is_empty() {
+            return Err(SurrogateError::NotFitted);
+        }
+        debug_assert_eq!(x.len(), self.dim);
+        Ok(self.predict_fitted(x))
+    }
+
+    fn predict_batch(
+        &self,
+        xs: &[f64],
+        dim: usize,
+        out: &mut Vec<Prediction>,
+    ) -> Result<(), SurrogateError> {
+        if self.roots.is_empty() {
+            return Err(SurrogateError::NotFitted);
+        }
+        assert_eq!(dim, self.dim, "query rows differ from the training width");
+        out.clear();
+        out.reserve(xs.len() / dim);
+        let mut blocks = xs.chunks_exact(LANES * dim);
+        for block in &mut blocks {
+            let rows = std::array::from_fn(|l| &block[l * dim..(l + 1) * dim]);
+            out.extend(self.predict_lanes(rows));
+        }
+        out.extend(
+            blocks
+                .remainder()
+                .chunks_exact(dim)
+                .map(|x| self.predict_fitted(x)),
+        );
+        Ok(())
     }
 }
 
@@ -276,7 +338,6 @@ impl SurrogateModel for RandomForest {
 struct Matrix<'a> {
     data: &'a [f64],
     dim: usize,
-    n: usize,
 }
 
 impl Matrix<'_> {
@@ -286,53 +347,34 @@ impl Matrix<'_> {
     }
 }
 
-fn build_tree(matrix: &Matrix<'_>, y: &[f64], config: &RandomForestConfig, seed: u64) -> Tree {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = matrix.n;
-    let mut indices: Vec<usize> = if config.bootstrap && n > 1 {
-        (0..n).map(|_| rng.gen_range(0..n)).collect()
-    } else {
-        (0..n).collect()
-    };
-    let mut tree = Tree { nodes: Vec::new() };
-    tree.build_node(matrix, y, &mut indices, 0, config, &mut rng);
-    tree
+/// Filler for a reserved node slot until its subtree is built.
+const PLACEHOLDER: Node = Node {
+    thr: 0.0,
+    dim: LEAF,
+    child: 0,
+};
+
+/// Builds one tree into the forest's shared node and leaf arrays.
+struct TreeBuilder<'a> {
+    matrix: &'a Matrix<'a>,
+    y: &'a [f64],
+    config: &'a RandomForestConfig,
+    rng: &'a mut StdRng,
+    nodes: &'a mut Vec<Node>,
+    leaves: &'a mut Vec<[f64; 2]>,
 }
 
-#[derive(Debug, Clone)]
-struct Tree {
-    nodes: Vec<Node>,
-}
-
-#[derive(Debug, Clone)]
-enum Node {
-    Split {
-        dim: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-    Leaf {
-        mean: f64,
-        var: f64,
-    },
-}
-
-impl Tree {
-    /// Recursively builds the subtree over `indices`, returning its node id.
-    fn build_node(
-        &mut self,
-        matrix: &Matrix<'_>,
-        y: &[f64],
-        indices: &mut [usize],
-        depth: usize,
-        config: &RandomForestConfig,
-        rng: &mut StdRng,
-    ) -> usize {
+impl TreeBuilder<'_> {
+    /// Recursively builds the subtree over `indices` into the reserved
+    /// node `slot`.
+    fn build(&mut self, slot: usize, indices: &mut [usize], depth: usize) {
+        let config = self.config;
         if depth >= config.max_depth || indices.len() < config.min_samples_split {
-            return self.push_leaf(y, indices);
+            return self.leaf(slot, indices);
         }
+        let matrix = self.matrix;
         let dim_count = matrix.dim;
+        let rng = &mut *self.rng;
         // Try a few random dimensions looking for one with spread.
         let split = (0..dim_count.max(4)).find_map(|_| {
             let d = rng.gen_range(0..dim_count);
@@ -349,42 +391,39 @@ impl Tree {
                 None
             }
         });
-        let Some((d, threshold)) = split else {
-            return self.push_leaf(y, indices);
+        let Some((d, thr)) = split else {
+            return self.leaf(slot, indices);
         };
-        // In-place partition: indices with x[d] <= threshold first.
+        // In-place partition: indices with x[d] <= thr first.
         let mut mid = 0;
         for i in 0..indices.len() {
-            if matrix.at(indices[i], d) <= threshold {
+            if matrix.at(indices[i], d) <= thr {
                 indices.swap(i, mid);
                 mid += 1;
             }
         }
         if mid == 0 || mid == indices.len() {
-            return self.push_leaf(y, indices);
+            return self.leaf(slot, indices);
         }
-        // Reserve our slot before recursing so children get later ids.
-        let id = self.nodes.len();
-        self.nodes.push(Node::Leaf {
-            mean: 0.0,
-            var: 0.0,
-        });
-        let (left_idx, right_idx) = indices.split_at_mut(mid);
-        let left = self.build_node(matrix, y, left_idx, depth + 1, config, rng);
-        let right = self.build_node(matrix, y, right_idx, depth + 1, config, rng);
-        self.nodes[id] = Node::Split {
-            dim: d,
-            threshold,
-            left,
-            right,
+        // Reserve both children before recursing: siblings stay adjacent
+        // and the left subtree is built (and draws from the RNG) first.
+        let child = self.nodes.len();
+        self.nodes.extend([PLACEHOLDER; 2]);
+        self.nodes[slot] = Node {
+            thr,
+            dim: node_index(d),
+            child: node_index(child),
         };
-        id
+        let (left, right) = indices.split_at_mut(mid);
+        self.build(child, left, depth + 1);
+        self.build(child + 1, right, depth + 1);
     }
 
-    fn push_leaf(&mut self, y: &[f64], indices: &[usize]) -> usize {
+    fn leaf(&mut self, slot: usize, indices: &[usize]) {
         // Two-pass mean/variance straight off the index slice — no target
         // buffer. Matches `stats::{mean, variance}` semantics (population
         // variance; zero for fewer than two samples).
+        let y = self.y;
         let k = indices.len();
         let (mean, var) = if k == 0 {
             (0.0, 0.0)
@@ -404,26 +443,12 @@ impl Tree {
             };
             (mean, var)
         };
-        let id = self.nodes.len();
-        self.nodes.push(Node::Leaf { mean, var });
-        id
-    }
-
-    fn query(&self, x: &[f64]) -> (f64, f64) {
-        let mut id = 0;
-        loop {
-            match &self.nodes[id] {
-                Node::Leaf { mean, var } => return (*mean, *var),
-                Node::Split {
-                    dim,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    id = if x[*dim] <= *threshold { *left } else { *right };
-                }
-            }
-        }
+        self.nodes[slot] = Node {
+            thr: 0.0,
+            dim: LEAF,
+            child: node_index(self.leaves.len()),
+        };
+        self.leaves.push([mean, var + mean * mean]);
     }
 }
 
@@ -462,7 +487,7 @@ mod tests {
         let rf = RandomForest::new(0);
         assert_eq!(rf.predict(&[0.5]).unwrap_err(), SurrogateError::NotFitted);
         assert_eq!(
-            rf.predict_batch(&[vec![0.5]]).unwrap_err(),
+            rf.predict_batch(&[0.5], 1, &mut Vec::new()).unwrap_err(),
             SurrogateError::NotFitted
         );
         assert!(!rf.is_fitted());
@@ -518,28 +543,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fit_matches_serial_fit() {
-        let x = grid_2d(10);
-        let y: Vec<f64> = x
-            .iter()
-            .map(|p| (p[0] - 0.4).powi(2) + 0.3 * p[1])
-            .collect();
-        let mut serial = RandomForest::new(7);
-        let mut parallel = RandomForest::new(7);
-        serial.fit_with_threads(&x, &y, 1).unwrap();
-        parallel.fit_with_threads(&x, &y, 4).unwrap();
-        for q in &x {
-            assert_eq!(serial.predict(q).unwrap(), parallel.predict(q).unwrap());
-        }
-    }
-
-    #[test]
     fn predict_batch_matches_per_point_predict() {
         let x = grid_2d(8);
         let y: Vec<f64> = x.iter().map(|p| p[0].sin() + p[1]).collect();
         let mut rf = RandomForest::new(11);
         rf.fit(&x, &y).unwrap();
-        let batch = rf.predict_batch(&x).unwrap();
+        let mut batch = Vec::new();
+        rf.predict_batch(&x.concat(), 2, &mut batch).unwrap();
         assert_eq!(batch.len(), x.len());
         for (q, b) in x.iter().zip(&batch) {
             assert_eq!(rf.predict(q).unwrap(), *b);

@@ -23,7 +23,7 @@ proptest! {
         let (xs, ys) = dataset(&points, |a, b| (3.0 * a).sin() + b);
         let mut rf = RandomForest::new(seed);
         rf.fit(&xs, &ys).unwrap();
-        let p = SurrogateModel::predict(&rf, &[query.0, query.1]).unwrap();
+        let p = Predictor::predict(&rf, &[query.0, query.1]).unwrap();
         prop_assert!(p.mean.is_finite());
         prop_assert!(p.var >= 0.0);
         let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -43,7 +43,7 @@ proptest! {
         let (xs, ys) = dataset(&points, |a, b| a * a - b);
         let mut gp = GaussianProcess::new();
         gp.fit(&xs, &ys).unwrap();
-        let p = SurrogateModel::predict(&gp, &[query.0, query.1]).unwrap();
+        let p = Predictor::predict(&gp, &[query.0, query.1]).unwrap();
         prop_assert!(p.mean.is_finite());
         prop_assert!(p.var >= 0.0);
     }
@@ -92,8 +92,8 @@ proptest! {
         b.fit(&xs, &ys).unwrap();
         for x in &xs {
             prop_assert_eq!(
-                SurrogateModel::predict(&a, x).unwrap(),
-                SurrogateModel::predict(&b, x).unwrap()
+                Predictor::predict(&a, x).unwrap(),
+                Predictor::predict(&b, x).unwrap()
             );
         }
     }

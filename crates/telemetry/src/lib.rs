@@ -58,14 +58,39 @@ pub use sink::{ConsoleSink, EventSink, JsonlSink, RingBufferSink};
 pub use span::{Clock, ManualClock, WallClock};
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 struct Inner {
-    seq: AtomicU64,
+    /// The next sequence number. Held while a record is written to the
+    /// sinks, so every sink sees records in `seq` order.
+    seq: Mutex<u64>,
     sinks: Vec<Box<dyn EventSink>>,
     metrics: MetricsRegistry,
     clock: Arc<dyn Clock>,
+}
+
+impl Inner {
+    fn seq(&self) -> MutexGuard<'_, u64> {
+        // A sink that panicked mid-write leaves the counter itself intact.
+        self.seq.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Assigns the next `seq` and records to every sink under one lock:
+    /// concurrent emitters cannot interleave between numbering and
+    /// writing, so `seq` is strictly increasing in every sink.
+    fn publish(&self, time: f64, event: Event, tenant: Option<u64>) {
+        let mut seq = self.seq();
+        let rec = EventRecord {
+            seq: *seq,
+            time,
+            event,
+            tenant,
+        };
+        *seq += 1;
+        for sink in &self.sinks {
+            sink.record(&rec);
+        }
+    }
 }
 
 /// A cheap, cloneable handle to a telemetry pipeline — or to nothing.
@@ -86,7 +111,7 @@ impl fmt::Debug for TelemetryHandle {
                 .debug_struct("TelemetryHandle")
                 .field("enabled", &true)
                 .field("sinks", &inner.sinks.len())
-                .field("seq", &inner.seq.load(Ordering::Relaxed))
+                .field("seq", &*inner.seq())
                 .field("tenant", &self.tenant)
                 .finish(),
             None => f
@@ -133,16 +158,7 @@ impl TelemetryHandle {
     /// costs nothing on a disabled handle.
     pub fn emit_with(&self, time: f64, make: impl FnOnce() -> Event) {
         if let Some(inner) = &self.inner {
-            let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-            let rec = EventRecord {
-                seq,
-                time,
-                event: make(),
-                tenant: self.tenant,
-            };
-            for sink in &inner.sinks {
-                sink.record(&rec);
-            }
+            inner.publish(time, make(), self.tenant);
         }
     }
 
@@ -151,17 +167,7 @@ impl TelemetryHandle {
     /// (e.g. the thread pool's dispatch path).
     pub fn emit_now_with(&self, make: impl FnOnce() -> Event) {
         if let Some(inner) = &self.inner {
-            let time = inner.clock.now();
-            let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-            let rec = EventRecord {
-                seq,
-                time,
-                event: make(),
-                tenant: self.tenant,
-            };
-            for sink in &inner.sinks {
-                sink.record(&rec);
-            }
+            inner.publish(inner.clock.now(), make(), self.tenant);
         }
     }
 
@@ -246,19 +252,14 @@ impl Drop for SpanGuard {
             inner
                 .metrics
                 .histogram_record(&format!("span.{}", self.name), duration);
-            let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-            let rec = EventRecord {
-                seq,
-                time: end,
-                event: Event::SpanClosed {
+            inner.publish(
+                end,
+                Event::SpanClosed {
                     name: self.name.to_string(),
                     duration,
                 },
-                tenant: self.tenant,
-            };
-            for sink in &inner.sinks {
-                sink.record(&rec);
-            }
+                self.tenant,
+            );
         }
     }
 }
@@ -314,7 +315,7 @@ impl Telemetry {
     pub fn build(self) -> TelemetryHandle {
         TelemetryHandle {
             inner: Some(Arc::new(Inner {
-                seq: AtomicU64::new(0),
+                seq: Mutex::new(0),
                 sinks: self.sinks,
                 metrics: MetricsRegistry::new(),
                 clock: self.clock.unwrap_or_else(|| Arc::new(WallClock::new())),
@@ -345,6 +346,38 @@ mod tests {
         assert!(t.snapshot().is_none());
         let _span = t.span("idle");
         t.flush();
+    }
+
+    #[test]
+    fn concurrent_emitters_record_strictly_increasing_seq() {
+        // Event construction yields the CPU, widening the window in which
+        // another thread could take a later `seq` and record it first.
+        let make = |level| {
+            std::thread::yield_now();
+            Event::SurrogatePredict { level, n_models: 1 }
+        };
+        let ring = RingBufferSink::new(4096);
+        let t = Telemetry::new().with_sink(ring.clone()).build();
+        std::thread::scope(|s| {
+            for thread in 0..4u64 {
+                let t = t.with_tenant(thread);
+                s.spawn(move || {
+                    for i in 0..1000 {
+                        if i % 2 == 0 {
+                            t.emit_with(i as f64, || make(0));
+                        } else {
+                            t.emit_now_with(|| make(1));
+                        }
+                    }
+                });
+            }
+        });
+        let seqs: Vec<u64> = ring.snapshot().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs.len(), 4000);
+        assert!(
+            seqs.windows(2).all(|w| w[0] < w[1]),
+            "recorded seq out of order"
+        );
     }
 
     #[test]

@@ -207,4 +207,16 @@ grep -q -- "-- study 8 --" target/service-report.out
 [[ "$(grep -c "^duplicated trials: 0$" target/service-report.out)" -ge 8 ]]
 ! grep -E "^duplicated trials: [1-9]" target/service-report.out
 
+step "perfbench tests + 1 s smoke (decorated = bare, every workload correct)"
+# The repository benchmark (BENCHMARK.json) is its own package. Its tests
+# pin that the per-layer decorators are transparent (decorated and bare
+# runs produce the same measurement streams) and that its metric catalog
+# matches BENCHMARK.json; the smoke pass runs every workload once, and
+# its result line reads correct only if every workload's outputs check
+# out (the run also exits non-zero otherwise).
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seed 1 --seconds 1 --trace 0 > target/perfbench-smoke.out
+grep -q '"correct":true' target/perfbench-smoke.out
+
 step "OK"
