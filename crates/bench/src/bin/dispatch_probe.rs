@@ -8,6 +8,9 @@
 //! runner drives methods through `next_jobs(ctx, 1)`, so equal
 //! fingerprints pin the k ≤ 1 path bit-identical across the refactor for
 //! all registry methods.
+//!
+//! The expected output is checked in as `crates/bench/golden/dispatch_probe.txt`,
+//! and `scripts/ci.sh` diffs a fresh run against it.
 
 use hypertune::prelude::*;
 

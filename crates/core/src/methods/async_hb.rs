@@ -109,8 +109,13 @@ impl AsyncHb {
     }
 
     /// Step 4 of Figure 3: refresh θ from the multi-fidelity history and
-    /// push it into both the allocator and the MFES sampler.
+    /// push it into both the allocator and the MFES sampler. Skipped when
+    /// neither reads it (ASHA, A-Hyperband): θ draws from its own RNG, so
+    /// skipping it changes no decision.
     fn refresh_theta(&mut self, ctx: &MethodContext<'_>) {
+        if !matches!(self.policy, BracketPolicy::Learned(_)) && !self.sampler.uses_theta() {
+            return;
+        }
         let refresh_span = self.telemetry.span("theta_refresh");
         if let Some(theta) = self.theta.maybe_refresh(ctx.history, ctx.space) {
             drop(refresh_span);
@@ -449,6 +454,24 @@ mod tests {
         // After enough full evaluations θ becomes available.
         assert!(env.history.len_at(3) >= 4);
         assert!(m.theta().is_some());
+    }
+
+    #[test]
+    fn asha_never_estimates_theta() {
+        let (mut env, mut m) = asha(false);
+        let telemetry = hypertune_telemetry::Telemetry::new().build();
+        m.set_telemetry(telemetry.clone());
+        for _ in 0..240 {
+            let j = m.next_job(&mut env.ctx()).unwrap();
+            env.complete(&mut m, j);
+        }
+        // Enough complete evaluations for θ, yet nobody reads it: no θ
+        // was estimated (so none was pushed to the sampler) or timed.
+        assert!(env.history.len_at(3) >= 4, "{}", env.history.len_at(3));
+        assert!(m.theta().is_none());
+        assert!(m.diagnostics().theta_history.is_empty());
+        let snap = telemetry.snapshot().unwrap();
+        assert!(snap.histogram("span.theta_refresh").is_none());
     }
 
     #[test]

@@ -68,6 +68,17 @@ impl SyncHb {
         };
         self.bracket = SyncBracket::new(levels, base);
     }
+
+    /// Pushes a fresh θ into the sampler when one is due — and estimates
+    /// it only for a sampler that reads it.
+    fn refresh_theta(&mut self, ctx: &MethodContext<'_>) {
+        if !self.sampler.uses_theta() {
+            return;
+        }
+        if let Some(theta) = self.theta.maybe_refresh(ctx.history, ctx.space) {
+            self.sampler.set_theta(&theta);
+        }
+    }
 }
 
 impl Method for SyncHb {
@@ -76,9 +87,7 @@ impl Method for SyncHb {
     }
 
     fn next_job(&mut self, ctx: &mut MethodContext<'_>) -> Option<JobSpec> {
-        if let Some(theta) = self.theta.maybe_refresh(ctx.history, ctx.space) {
-            self.sampler.set_theta(&theta);
-        }
+        self.refresh_theta(ctx);
         if self.bracket.is_done() {
             self.advance_bracket(ctx.levels);
         }
@@ -108,9 +117,7 @@ impl Method for SyncHb {
             // Must stay bit-identical to the sequential path.
             return (0..k).filter_map(|_| self.next_job(ctx)).collect();
         }
-        if let Some(theta) = self.theta.maybe_refresh(ctx.history, ctx.space) {
-            self.sampler.set_theta(&theta);
-        }
+        self.refresh_theta(ctx);
         if self.bracket.is_done() {
             self.advance_bracket(ctx.levels);
         }

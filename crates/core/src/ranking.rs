@@ -13,9 +13,15 @@
 //! history grows, and each estimate fits `K` forests and counts ordered
 //! pairs over `S` bootstrap replicates — so it is built for speed:
 //!
-//! - [`ranking_loss`] counts discordant pairs in `O(n log n)` by sorting
-//!   on predictions and merge-counting strict inversions in the observed
-//!   targets (the naive `O(n²)` scan survives as
+//! - the bootstrap runs in rank space: once per estimate, `D_K`'s targets
+//!   get dense ranks and each level's points a fixed ordering by
+//!   `(prediction, target rank)`; a replicate is then just the
+//!   multiplicity of each drawn point, and each level's loss is an integer Fenwick-tree
+//!   count over those fixed orderings ([`ranking_loss_weighted`]) — no
+//!   replicate is materialized or sorted, and the count equals Eq. 1 on
+//!   the materialized replicate exactly;
+//! - [`ranking_loss`] is the unit-weight case of the same counter,
+//!   `O(n log n)` (the naive `O(n²)` scan survives as
 //!   [`ranking_loss_naive`], the reference the property tests check
 //!   against);
 //! - per-level surrogates are cached in [`ThetaModelCache`] keyed by the
@@ -48,10 +54,6 @@ pub const MIN_POINTS_PER_LEVEL: usize = 3;
 /// Minimum complete evaluations before `θ` can be estimated at all.
 pub const MIN_FULL_EVALS: usize = 4;
 
-fn cmp_f64(a: f64, b: f64) -> std::cmp::Ordering {
-    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
-}
-
 /// Eq. 1: number of pairs `(j, k)` whose predicted order disagrees with
 /// the observed order (the exclusive-or in the paper). Ties in either
 /// ranking carry no ordering information and never disagree. Points with
@@ -61,46 +63,23 @@ fn cmp_f64(a: f64, b: f64) -> std::cmp::Ordering {
 /// skipped (in both the fast and the naive path, keeping them
 /// bit-identical).
 ///
-/// Runs in `O(n log n)`: indices are sorted by `(pred, y)` and the
-/// discordant pairs are exactly the strict inversions of the observed
-/// targets in that order — pred-tied pairs sort by `y` ascending (no
-/// inversion), y-tied pairs are excluded by the strict comparison, and
-/// every other pair inverts iff the two rankings disagree. Below a small
-/// cutoff (`SMALL_LOSS_CUTOFF`) the quadratic loop is used instead: it allocates
-/// nothing and beats the sort's constant factor on tiny inputs (the θ
-/// bootstrap calls this hundreds of times per refresh); above it, sort
-/// buffers come from a thread-local scratch, so steady-state calls do not
-/// allocate either.
+/// Runs in `O(n log n)`: the unit-weight case of [`ranking_loss_weighted`].
 pub fn ranking_loss(preds: &[f64], ys: &[f64]) -> usize {
-    debug_assert_eq!(preds.len(), ys.len());
-    let n = ys.len();
-    if n < SMALL_LOSS_CUTOFF {
-        return ranking_loss_naive(preds, ys);
-    }
-    thread_local! {
-        static BUFFERS: std::cell::RefCell<(Vec<usize>, Vec<f64>, Vec<f64>)> =
-            const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-    }
-    BUFFERS.with(|cell| {
-        let (order, seq, scratch) = &mut *cell.borrow_mut();
-        order.clear();
-        order.extend((0..n).filter(|&i| preds[i].is_finite() && ys[i].is_finite()));
-        let n = order.len();
-        // Unstable sort: value-equal (pred, y) keys are interchangeable.
-        order.sort_unstable_by(|&a, &b| {
-            cmp_f64(preds[a], preds[b]).then_with(|| cmp_f64(ys[a], ys[b]))
-        });
-        seq.clear();
-        seq.extend(order.iter().map(|&i| ys[i]));
-        scratch.clear();
-        scratch.resize(n, 0.0);
-        count_strict_inversions(seq, scratch)
-    })
+    ranking_loss_weighted(preds, ys, &vec![1; ys.len()])
 }
 
-/// Crossover below which the quadratic pair loop outruns the sort-based
-/// inversion count (measured on the θ bootstrap's capped replicates).
-const SMALL_LOSS_CUTOFF: usize = 33;
+/// [`ranking_loss`] of the multiset in which point `i` appears
+/// `weights[i]` times, without materializing it: copies of one point tie
+/// in both rankings, and each disagreeing pair of distinct points counts
+/// `weights[j] · weights[k]` times. This is the counter the θ bootstrap
+/// runs on every replicate.
+pub fn ranking_loss_weighted(preds: &[f64], ys: &[f64], weights: &[u32]) -> usize {
+    debug_assert_eq!(preds.len(), ys.len());
+    debug_assert_eq!(weights.len(), ys.len());
+    let ranks = YRanks::new(ys);
+    let mut tree = vec![0; ranks.distinct + 1];
+    PredOrder::new(preds, &ranks).discordant_pairs(weights, &mut tree)
+}
 
 /// Reference `O(n²)` implementation of [`ranking_loss`], kept for the
 /// property tests that pin the fast path to the paper's pair semantics.
@@ -130,35 +109,81 @@ pub fn ranking_loss_naive(preds: &[f64], ys: &[f64]) -> usize {
     loss
 }
 
-/// Merge-sort count of pairs `(a, b)` with `a` before `b` and
-/// `seq[a] > seq[b]` strictly. Sorts `seq` in place; `scratch` must be the
-/// same length.
-fn count_strict_inversions(seq: &mut [f64], scratch: &mut [f64]) -> usize {
-    let n = seq.len();
-    if n < 2 {
-        return 0;
-    }
-    let mid = n / 2;
-    let (left_half, right_half) = seq.split_at_mut(mid);
-    let (scratch_l, scratch_r) = scratch.split_at_mut(mid);
-    let mut inversions = count_strict_inversions(left_half, scratch_l)
-        + count_strict_inversions(right_half, scratch_r);
-    // Merge the sorted halves, counting how many left elements remain
-    // (all strictly greater) each time a right element wins.
-    let mut i = 0;
-    let mut j = 0;
-    for slot in scratch.iter_mut().take(n) {
-        if i < mid && (j >= n - mid || left_half[i] <= right_half[j]) {
-            *slot = left_half[i];
-            i += 1;
-        } else {
-            inversions += mid - i;
-            *slot = right_half[j];
-            j += 1;
+/// Dense 1-based ranks of the observed targets: `==`-equal values (so
+/// `0.0` and `-0.0`) share a rank, and non-finite targets get rank 0,
+/// which excludes them from every pair.
+struct YRanks {
+    rank: Vec<u32>,
+    /// Number of distinct finite targets (the largest rank).
+    distinct: usize,
+}
+
+impl YRanks {
+    fn new(ys: &[f64]) -> Self {
+        let mut order: Vec<usize> = (0..ys.len()).filter(|&i| ys[i].is_finite()).collect();
+        order.sort_unstable_by(|&a, &b| ys[a].partial_cmp(&ys[b]).expect("finite"));
+        let mut rank = vec![0; ys.len()];
+        let mut distinct = 0;
+        for (pos, &i) in order.iter().enumerate() {
+            if pos == 0 || ys[i] != ys[order[pos - 1]] {
+                distinct += 1;
+            }
+            rank[i] = distinct as u32;
         }
+        Self { rank, distinct }
     }
-    seq.copy_from_slice(&scratch[..n]);
-    inversions
+}
+
+/// One predictor's ordering of the points with a finite prediction and
+/// target: `(index, target rank)` ascending by prediction and, within a
+/// group of `==`-equal predictions, by target rank.
+struct PredOrder(Vec<(u32, u32)>);
+
+impl PredOrder {
+    fn new(preds: &[f64], ranks: &YRanks) -> Self {
+        let mut order: Vec<(u32, u32)> = (0..preds.len())
+            .filter(|&i| preds[i].is_finite() && ranks.rank[i] > 0)
+            .map(|i| (i as u32, ranks.rank[i]))
+            .collect();
+        order.sort_unstable_by(|a, b| {
+            let (pa, pb) = (preds[a.0 as usize], preds[b.0 as usize]);
+            pa.partial_cmp(&pb).expect("finite").then(a.1.cmp(&b.1))
+        });
+        Self(order)
+    }
+
+    /// Σ `weights[j] · weights[k]` over pairs with `pred_j < pred_k` and
+    /// `y_j > y_k` — exactly the disagreeing pairs, each counted once.
+    /// Walks the points in order with a Fenwick tree of the weight
+    /// inserted so far per target rank, counting each point against the
+    /// strictly larger targets before it. A point tied in prediction with
+    /// an earlier one has a target at least as large, so tied predictions
+    /// never pair. `tree` is scratch space, one slot per target rank
+    /// plus one.
+    fn discordant_pairs(&self, weights: &[u32], tree: &mut [u32]) -> usize {
+        tree.fill(0);
+        let (mut loss, mut inserted) = (0, 0);
+        for &(i, rank) in &self.0 {
+            let w = weights[i as usize];
+            if w == 0 {
+                continue;
+            }
+            let mut not_above = 0;
+            let mut r = rank as usize;
+            while r > 0 {
+                not_above += tree[r];
+                r &= r - 1;
+            }
+            loss += w as usize * (inserted - not_above) as usize;
+            inserted += w;
+            let mut r = rank as usize;
+            while r < tree.len() {
+                tree[r] += w;
+                r += r & r.wrapping_neg();
+            }
+        }
+        loss
+    }
 }
 
 /// Per-level predictions on the `D_K` configurations, the raw material of
@@ -227,27 +252,29 @@ pub fn compute_theta_cached(
     let lp = level_predictions(history, space, seed, cache)?;
     let k = lp.preds.len();
     let n = lp.ys.len();
+    // Rank `D_K` once; each replicate is then a vector of multiplicities
+    // and its losses are integer counts over these fixed orderings.
+    let ranks = YRanks::new(&lp.ys);
+    let orders: Vec<Option<PredOrder>> = lp
+        .preds
+        .iter()
+        .map(|p| p.as_deref().map(|p| PredOrder::new(p, &ranks)))
+        .collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xda7a);
     let mut wins = vec![0usize; k];
-    let boot_n = n.min(MAX_BOOT_POINTS);
-    let mut idx = vec![0usize; boot_n];
-    let mut ys = vec![0.0; boot_n];
-    let mut p = vec![0.0; boot_n];
+    let mut counts = vec![0u32; n];
+    let mut tree = vec![0; ranks.distinct + 1];
+    let mut best_levels: Vec<usize> = Vec::with_capacity(k);
     for _ in 0..BOOTSTRAP_SAMPLES {
-        for slot in idx.iter_mut() {
-            *slot = rng.gen_range(0..n);
-        }
-        for (slot, &i) in ys.iter_mut().zip(&idx) {
-            *slot = lp.ys[i];
+        counts.fill(0);
+        for _ in 0..n.min(MAX_BOOT_POINTS) {
+            counts[rng.gen_range(0..n)] += 1;
         }
         let mut best_loss = usize::MAX;
-        let mut best_levels: Vec<usize> = Vec::new();
-        for (level, preds) in lp.preds.iter().enumerate() {
-            let Some(preds) = preds else { continue };
-            for (slot, &i) in p.iter_mut().zip(&idx) {
-                *slot = preds[i];
-            }
-            let loss = ranking_loss(&p, &ys);
+        best_levels.clear();
+        for (level, order) in orders.iter().enumerate() {
+            let Some(order) = order else { continue };
+            let loss = order.discordant_pairs(&counts, &mut tree);
             match loss.cmp(&best_loss) {
                 std::cmp::Ordering::Less => {
                     best_loss = loss;
@@ -506,8 +533,7 @@ mod tests {
             1,
             "remaining finite pair still counts"
         );
-        // Fast and naive paths agree on mixed inputs, above and below
-        // the small-input cutoff.
+        // Fast and naive paths agree on mixed inputs, long and short.
         let n = 64;
         let preds: Vec<f64> = (0..n)
             .map(|i| {

@@ -202,6 +202,10 @@ impl Sampler for MfesSampler {
         self.theta = Some(theta.to_vec());
     }
 
+    fn uses_theta(&self) -> bool {
+        true
+    }
+
     fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.telemetry = telemetry;
     }

@@ -94,6 +94,13 @@ pub trait Sampler: Send {
     /// multi-fidelity sampler uses them).
     fn set_theta(&mut self, _theta: &[f64]) {}
 
+    /// Whether [`Sampler::set_theta`] changes what this sampler proposes.
+    /// Owners estimate θ only when the sampler or their bracket policy
+    /// reads it.
+    fn uses_theta(&self) -> bool {
+        false
+    }
+
     /// Receives the run's telemetry handle from the owning method. The
     /// default ignores it; model-based samplers override to report
     /// surrogate fits and acquisition timing.

@@ -44,5 +44,4 @@ mod model;
 pub use ensemble::MfEnsemble;
 pub use gp::GaussianProcess;
 pub use model::{Prediction, Predictor, SurrogateError, SurrogateModel};
-pub use penalized::PenalizedPredictor;
 pub use rf::RandomForest;

@@ -378,13 +378,18 @@ impl TreeBuilder<'_> {
         // Try a few random dimensions looking for one with spread.
         let split = (0..dim_count.max(4)).find_map(|_| {
             let d = rng.gen_range(0..dim_count);
-            let (lo, hi) =
-                indices
-                    .iter()
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &i| {
-                        let v = matrix.at(i, d);
-                        (lo.min(v), hi.max(v))
-                    });
+            // Compare-select, not the NaN-aware `f64::min`/`max`: `fit`
+            // keeps only finite rows.
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &i in indices.iter() {
+                let v = matrix.at(i, d);
+                if v < lo {
+                    lo = v;
+                }
+                if v > hi {
+                    hi = v;
+                }
+            }
             if hi - lo > 1e-12 {
                 Some((d, lo + rng.gen::<f64>() * (hi - lo)))
             } else {

@@ -81,6 +81,14 @@ step "dispatch op-count guard (liar re-scoring stays O(pool x k))"
 cargo test -q -p hypertune-surrogate --offline rescore_ops_is_linear_in_k
 cargo test -q -p hypertune-core --offline batch_rescore_ops_counter_is_linear_in_k
 
+step "dispatch fingerprints (sim measurement streams of all 24 MethodKinds, pinned)"
+# Any change to what a method decides — or to the RNG draws behind it —
+# changes a fingerprint. A deliberate behaviour change re-captures the
+# golden file in the same commit and says why.
+cargo run --release -q -p hypertune-bench --offline --bin dispatch_probe \
+  > target/dispatch_probe.out
+diff crates/bench/golden/dispatch_probe.txt target/dispatch_probe.out
+
 step "prefetch determinism smoke (batch k=1 + prefetch/inline agreement)"
 PROPTEST_CASES=2 cargo test -q -p hypertune --offline --test batch_dispatch
 
